@@ -97,6 +97,40 @@ def test_linear_insertion(benchmark, oracle, requests):
     benchmark(run)
 
 
+def _route_with_waypoints(requests, oracle, count):
+    """A feasible route of ``count`` waypoints built by linear insertion.
+
+    Its riders are the later fixture requests with relaxed deadlines, so
+    long routes stay feasible.
+    """
+    route = RouteState(vehicle_id=0, origin=requests[0].source, departure_time=0.0,
+                       schedule=Schedule.empty(), capacity=4, onboard=0)
+    for request in requests[40:]:
+        if len(route.schedule) == count:
+            break
+        relaxed = Request.create(
+            request_id=request.request_id, source=request.source,
+            destination=request.destination, release_time=request.release_time,
+            direct_cost=request.direct_cost, gamma=4.0, max_wait=600.0,
+        )
+        outcome = best_insertion(route, relaxed, oracle)
+        if outcome.feasible:
+            route = route.with_schedule(outcome.schedule)
+    assert len(route.schedule) == count
+    return route
+
+
+@pytest.mark.parametrize("waypoints", [0, 4, 6])
+def test_linear_insertion_waypoints(benchmark, oracle, requests, waypoints):
+    """Linear insertion into base routes of 0, 4 and 6 waypoints."""
+    base = _route_with_waypoints(requests, oracle, waypoints)
+
+    def run():
+        return sum(best_insertion(base, request, oracle).feasible for request in requests[1:40])
+
+    benchmark(run)
+
+
 def test_pairwise_shareability(benchmark, oracle, requests, config):
     pairs = list(zip(requests[:40], requests[40:80]))
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 
 from ..config import SimulationConfig
 from ..model.batch import Batch
 from ..model.request import Request
 from ..model.schedule import Schedule
-from ..model.vehicle import Vehicle
+from ..model.vehicle import RouteState, Vehicle
 from ..network.grid_index import GridIndex
 from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle
@@ -36,12 +37,37 @@ class DispatchContext:
     #: Mean driving speed in m/s, used to convert time slack to search radii.
     average_speed: float = 10.0
 
+    @functools.cached_property
+    def vehicles_by_id(self) -> dict[int, Vehicle]:
+        """The batch's vehicles keyed by identifier (built on first use)."""
+        return {vehicle.vehicle_id: vehicle for vehicle in self.vehicles}
+
     def vehicle_by_id(self, vehicle_id: int) -> Vehicle:
         """Look up a vehicle by identifier."""
-        for vehicle in self.vehicles:
-            if vehicle.vehicle_id == vehicle_id:
-                return vehicle
-        raise KeyError(f"unknown vehicle {vehicle_id}")
+        try:
+            return self.vehicles_by_id[vehicle_id]
+        except KeyError:
+            raise KeyError(f"unknown vehicle {vehicle_id}") from None
+
+
+class RouteSnapshots(dict[int, RouteState]):
+    """Planning snapshots of a batch's vehicles, keyed by vehicle id.
+
+    A vehicle's :meth:`~repro.model.vehicle.Vehicle.route_state` is taken
+    the first time its id is read, so a dispatcher pays only for the
+    vehicles it prices rather than for the whole fleet on every batch.
+    Dispatchers store updated plans with ``routes[vehicle_id] = ...``;
+    ``get``, ``in`` and iteration see only the routes read or stored so far.
+    """
+
+    def __init__(self, context: DispatchContext) -> None:
+        super().__init__()
+        self._vehicles = context.vehicles_by_id
+        self._time = context.current_time
+
+    def __missing__(self, vehicle_id: int) -> RouteState:
+        route = self[vehicle_id] = self._vehicles[vehicle_id].route_state(self._time)
+        return route
 
 
 @dataclass(frozen=True)
@@ -134,7 +160,7 @@ def candidate_vehicles(
     slack = max(request.latest_pickup - context.current_time, 0.0)
     radius = max(context.average_speed * slack, 1.0)
     ids = context.vehicle_index.query_radius(source_xy[0], source_xy[1], radius)
-    by_id = {vehicle.vehicle_id: vehicle for vehicle in context.vehicles}
+    by_id = context.vehicles_by_id
     found = [by_id[vid] for vid in ids if vid in by_id]
     if not found:
         found = list(context.vehicles)

@@ -24,9 +24,15 @@ from __future__ import annotations
 
 from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
-from ..model.vehicle import RouteState
 from ..network.grid_index import GridIndex
-from .base import Assignment, DispatchContext, DispatchResult, Dispatcher, candidate_vehicles
+from .base import (
+    Assignment,
+    DispatchContext,
+    DispatchResult,
+    Dispatcher,
+    RouteSnapshots,
+    candidate_vehicles,
+)
 
 
 class DARMDispatcher(Dispatcher):
@@ -90,10 +96,7 @@ class DARMDispatcher(Dispatcher):
             )
 
     def _match(self, context: DispatchContext) -> DispatchResult:
-        routes: dict[int, RouteState] = {
-            vehicle.vehicle_id: vehicle.route_state(context.current_time)
-            for vehicle in context.vehicles
-        }
+        routes = RouteSnapshots(context)
         accepted: dict[int, list[Request]] = {}
         rejected: list[Request] = []
         for request in sorted(context.pending, key=lambda r: (r.release_time, r.request_id)):
@@ -113,15 +116,8 @@ class DARMDispatcher(Dispatcher):
                 if self._reject_unassigned:
                     rejected.append(request)
                 continue
-            old_route = routes[best_vehicle_id]
-            routes[best_vehicle_id] = RouteState(
-                vehicle_id=old_route.vehicle_id,
-                origin=old_route.origin,
-                departure_time=old_route.departure_time,
-                schedule=best_outcome.schedule,
-                capacity=old_route.capacity,
-                onboard=old_route.onboard,
-                min_insert_position=old_route.min_insert_position,
+            routes[best_vehicle_id] = routes[best_vehicle_id].with_schedule(
+                best_outcome.schedule
             )
             accepted.setdefault(best_vehicle_id, []).append(request)
         assignments = [

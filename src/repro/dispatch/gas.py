@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 
 from ..grouping.additive_tree import GroupingStatistics, build_groups
-from ..model.vehicle import RouteState
 from ..observability.trace import get_tracer
 from ..shareability.builder import DynamicShareabilityGraphBuilder
 from .base import (
@@ -24,6 +23,7 @@ from .base import (
     DispatchContext,
     DispatchResult,
     Dispatcher,
+    RouteSnapshots,
     requests_by_vehicle,
 )
 
@@ -92,10 +92,7 @@ class GASDispatcher(Dispatcher):
             # RV-style pruning: each vehicle enumerates only the requests whose
             # pick-up it can plausibly reach before the waiting deadline.
             reachable = requests_by_vehicle(context, list(pending_by_id.values()))
-            routes = {
-                vehicle.vehicle_id: vehicle.route_state(context.current_time)
-                for vehicle in vehicles
-            }
+            routes = RouteSnapshots(context)
             accepted: dict[int, list] = {}
             # GAS keeps scanning its additive index greedily until no vehicle
             # can take another profitable group, so several passes over the
@@ -105,14 +102,16 @@ class GASDispatcher(Dispatcher):
                 for vehicle in vehicles:
                     if not remaining:
                         break
-                    route = routes[vehicle.vehicle_id]
-                    if route.free_seats <= 0:
-                        continue
                     pool = [
                         request
                         for request in reachable.get(vehicle.vehicle_id, ())
                         if request.request_id in remaining
                     ]
+                    if not pool:
+                        continue
+                    route = routes[vehicle.vehicle_id]
+                    if route.free_seats <= 0:
+                        continue
                     if self._max_pool is not None and len(pool) > self._max_pool:
                         # Keep the closest requests; GAS on the full city
                         # would be intractable in pure Python and the paper's
@@ -123,8 +122,6 @@ class GASDispatcher(Dispatcher):
                             )
                         )
                         pool = pool[: self._max_pool]
-                    if not pool:
-                        continue
                     groups = build_groups(
                         pool,
                         graph,
@@ -141,15 +138,7 @@ class GASDispatcher(Dispatcher):
                     # cost.
                     best = max(groups, key=lambda g: (g.direct_cost, -g.delta_cost))
                     accepted.setdefault(vehicle.vehicle_id, []).extend(best.requests)
-                    routes[vehicle.vehicle_id] = RouteState(
-                        vehicle_id=route.vehicle_id,
-                        origin=route.origin,
-                        departure_time=route.departure_time,
-                        schedule=best.schedule,
-                        capacity=route.capacity,
-                        onboard=route.onboard,
-                        min_insert_position=route.min_insert_position,
-                    )
+                    routes[vehicle.vehicle_id] = route.with_schedule(best.schedule)
                     for rid in best.members:
                         remaining.pop(rid, None)
                     builder.remove(best.members)

@@ -12,7 +12,14 @@ from __future__ import annotations
 from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
 from ..model.vehicle import RouteState
-from .base import Assignment, DispatchContext, DispatchResult, Dispatcher, candidate_vehicles
+from .base import (
+    Assignment,
+    DispatchContext,
+    DispatchResult,
+    Dispatcher,
+    RouteSnapshots,
+    candidate_vehicles,
+)
 
 
 class PruneGDPDispatcher(Dispatcher):
@@ -38,16 +45,14 @@ class PruneGDPDispatcher(Dispatcher):
         self._planned = {}
 
     def estimated_memory_bytes(self) -> int:
-        # Online methods keep almost nothing between requests.
+        # Online methods keep almost nothing between requests: the routes
+        # of the vehicles the last batch priced.
         return 100 * len(self._planned)
 
     def dispatch(self, context: DispatchContext) -> DispatchResult:
         # Working copies of each vehicle's route; insertions within the batch
         # compound on these so a vehicle can pick up several new requests.
-        routes: dict[int, RouteState] = {
-            vehicle.vehicle_id: vehicle.route_state(context.current_time)
-            for vehicle in context.vehicles
-        }
+        routes = RouteSnapshots(context)
         accepted: dict[int, list[Request]] = {}
         rejected: list[Request] = []
         for request in sorted(context.pending, key=lambda r: (r.release_time, r.request_id)):
@@ -67,15 +72,8 @@ class PruneGDPDispatcher(Dispatcher):
                 if self._reject_unassigned:
                     rejected.append(request)
                 continue
-            old_route = routes[best_vehicle_id]
-            routes[best_vehicle_id] = RouteState(
-                vehicle_id=old_route.vehicle_id,
-                origin=old_route.origin,
-                departure_time=old_route.departure_time,
-                schedule=best_outcome.schedule,
-                capacity=old_route.capacity,
-                onboard=old_route.onboard,
-                min_insert_position=old_route.min_insert_position,
+            routes[best_vehicle_id] = routes[best_vehicle_id].with_schedule(
+                best_outcome.schedule
             )
             accepted.setdefault(best_vehicle_id, []).append(request)
         self._planned = routes

@@ -87,11 +87,11 @@ class RTVDispatcher(Dispatcher):
         reachable = requests_by_vehicle(context, list(pending_by_id.values()))
         candidates: list[tuple[int, RequestGroup]] = []
         for vehicle in context.vehicles:
-            route = vehicle.route_state(context.current_time)
-            if route.free_seats <= 0:
-                continue
             pool = reachable.get(vehicle.vehicle_id, [])
             if not pool:
+                continue
+            route = vehicle.route_state(context.current_time)
+            if route.free_seats <= 0:
                 continue
             if self._max_pool is not None and len(pool) > self._max_pool:
                 pool = sorted(

@@ -26,19 +26,25 @@ from ..grouping.additive_tree import GroupingStatistics, build_groups
 from ..grouping.group import RequestGroup
 from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
-from ..model.vehicle import RouteState, Vehicle
+from ..model.vehicle import RouteState
 from ..observability.trace import get_tracer
 from ..shareability.builder import DynamicShareabilityGraphBuilder
 from ..shareability.graph import ShareabilityGraph
 from ..shareability.loss import residual_shareability_loss, sharing_ratio
-from .base import Assignment, DispatchContext, DispatchResult, Dispatcher, candidate_vehicles
+from .base import (
+    Assignment,
+    DispatchContext,
+    DispatchResult,
+    Dispatcher,
+    RouteSnapshots,
+    candidate_vehicles,
+)
 
 
 @dataclass
 class _VehicleState:
     """Per-batch working state of one vehicle during proposal/acceptance."""
 
-    vehicle: Vehicle
     route: RouteState
     #: Requests that proposed to this vehicle in the current round.
     proposals: dict[int, Request] = field(default_factory=dict)
@@ -161,12 +167,10 @@ class SARDDispatcher(Dispatcher):
             pending=len(context.pending),
             vehicles=len(context.vehicles),
         ):
-            states = {
-                vehicle.vehicle_id: _VehicleState(
-                    vehicle=vehicle, route=vehicle.route_state(context.current_time)
-                )
-                for vehicle in context.vehicles
-            }
+            # Only candidate vehicles are priced, so only they are
+            # snapshotted, and only feasible ones get a working state.
+            routes = RouteSnapshots(context)
+            states: dict[int, _VehicleState] = {}
             sign = -1.0 if self._propose_worst_first else 1.0
             queues: dict[int, list[tuple[float, int]]] = {}
             assigned_to: dict[int, int] = {}
@@ -182,14 +186,16 @@ class SARDDispatcher(Dispatcher):
                     # backends, a bucket join for hub labels.  ``prefetch``
                     # leaves the logical query counters untouched.
                     context.oracle.prefetch(
-                        [states[v.vehicle_id].route.origin for v in candidates],
+                        [routes[v.vehicle_id].origin for v in candidates],
                         (request.source,),
                     )
                 for vehicle in candidates:
-                    state = states[vehicle.vehicle_id]
-                    outcome = best_insertion(state.route, request, context.oracle)
+                    route = routes[vehicle.vehicle_id]
+                    outcome = best_insertion(route, request, context.oracle)
                     if not outcome.feasible:
                         continue
+                    if vehicle.vehicle_id not in states:
+                        states[vehicle.vehicle_id] = _VehicleState(route=route)
                     heapq.heappush(
                         queue, (sign * outcome.delta_cost, vehicle.vehicle_id)
                     )
@@ -220,17 +226,9 @@ class SARDDispatcher(Dispatcher):
                 # arrivals.
                 touched: set[int] = set()
                 for rid in proposing:
-                    queue = queues[rid]
-                    while queue:
-                        _, vehicle_id = heapq.heappop(queue)
-                        state = states.get(vehicle_id)
-                        if state is None:
-                            continue
-                        state.proposals[rid] = pending_by_id[rid]
-                        touched.add(vehicle_id)
-                        break
-                if not touched:
-                    break
+                    _, vehicle_id = heapq.heappop(queues[rid])
+                    states[vehicle_id].proposals[rid] = pending_by_id[rid]
+                    touched.add(vehicle_id)
                 # Acceptance phase: every vehicle with new proposals
                 # re-selects its best group among its accumulated pool plus
                 # what it already accepted.  Requests currently held by
@@ -273,14 +271,16 @@ class SARDDispatcher(Dispatcher):
             rounds_span.tag("groups", batch_group_count)
 
         # -------------------- materialise assignments ------------------- #
+        # In fleet order, exactly as if every vehicle had a working state.
         with tracer.span("sard.materialize") as materialize_span:
             assignments: list[Assignment] = []
-            for state in states.values():
-                if state.accepted_group is None or not state.accepted:
+            for vehicle in context.vehicles:
+                state = states.get(vehicle.vehicle_id)
+                if state is None or state.accepted_group is None or not state.accepted:
                     continue
                 assignments.append(
                     Assignment(
-                        vehicle_id=state.vehicle.vehicle_id,
+                        vehicle_id=vehicle.vehicle_id,
                         schedule=state.accepted_group.schedule,
                         new_requests=tuple(state.accepted.values()),
                     )

@@ -15,8 +15,14 @@ from __future__ import annotations
 
 from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
-from ..model.vehicle import RouteState
-from .base import Assignment, DispatchContext, DispatchResult, Dispatcher, candidate_vehicles
+from .base import (
+    Assignment,
+    DispatchContext,
+    DispatchResult,
+    Dispatcher,
+    RouteSnapshots,
+    candidate_vehicles,
+)
 
 
 class TicketAssignDispatcher(Dispatcher):
@@ -46,10 +52,7 @@ class TicketAssignDispatcher(Dispatcher):
         return 150 * self.contention_retries + 2000
 
     def dispatch(self, context: DispatchContext) -> DispatchResult:
-        routes: dict[int, RouteState] = {
-            vehicle.vehicle_id: vehicle.route_state(context.current_time)
-            for vehicle in context.vehicles
-        }
+        routes = RouteSnapshots(context)
         accepted: dict[int, list[Request]] = {}
         remaining: dict[int, Request] = {
             request.request_id: request for request in context.pending
@@ -86,16 +89,7 @@ class TicketAssignDispatcher(Dispatcher):
                 delta, request, outcome = vehicle_bids[0]
                 # Losing bidders retry next round: that is the lock contention.
                 self.contention_retries += len(vehicle_bids) - 1
-                old_route = routes[vehicle_id]
-                routes[vehicle_id] = RouteState(
-                    vehicle_id=old_route.vehicle_id,
-                    origin=old_route.origin,
-                    departure_time=old_route.departure_time,
-                    schedule=outcome.schedule,
-                    capacity=old_route.capacity,
-                    onboard=old_route.onboard,
-                    min_insert_position=old_route.min_insert_position,
-                )
+                routes[vehicle_id] = routes[vehicle_id].with_schedule(outcome.schedule)
                 accepted.setdefault(vehicle_id, []).append(request)
                 del remaining[request.request_id]
                 progressed = True

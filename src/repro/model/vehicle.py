@@ -34,6 +34,18 @@ class RouteState:
         """Seats not occupied by onboard riders."""
         return self.capacity - self.onboard
 
+    def with_schedule(self, schedule: Schedule) -> "RouteState":
+        """This snapshot with its remaining schedule replaced by ``schedule``."""
+        return RouteState(
+            vehicle_id=self.vehicle_id,
+            origin=self.origin,
+            departure_time=self.departure_time,
+            schedule=schedule,
+            capacity=self.capacity,
+            onboard=self.onboard,
+            min_insert_position=self.min_insert_position,
+        )
+
 
 @dataclass
 class Vehicle:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dispatch import sard
+from repro.dispatch.base import RouteSnapshots
 from repro.dispatch.sard import SARDDispatcher
 from repro.model.vehicle import Vehicle
 
@@ -132,3 +134,61 @@ class TestVariants:
         dispatcher = SARDDispatcher()
         dispatcher.dispatch(make_context(vehicles, requests, current_time=7.0))
         assert dispatcher.estimated_memory_bytes() >= 0
+
+
+class TestSnapshots:
+    """SARD snapshots only the vehicles it prices (counts, not timings)."""
+
+    @pytest.fixture()
+    def crowd(self, make_request):
+        requests = [
+            make_request(rid, source, destination, release_time=5.0)
+            for rid, (source, destination) in enumerate(
+                [(0, 4), (1, 5), (6, 10), (30, 34), (31, 35), (24, 29), (2, 20)], start=1
+            )
+        ]
+        locations = [0, 3, 7, 14, 21, 28, 31, 33, 35]
+        vehicles = [Vehicle(vehicle_id=vid, location=node) for vid, node in enumerate(locations)]
+        return requests, vehicles
+
+    def test_route_state_only_for_candidate_vehicles(self, crowd, make_context, monkeypatch):
+        requests, vehicles = crowd
+        context = make_context(vehicles, requests, current_time=7.0)
+        candidates: set[int] = set()
+        find_candidates = sard.candidate_vehicles
+
+        def recording_candidates(request, ctx, **kwargs):
+            found = find_candidates(request, ctx, **kwargs)
+            candidates.update(vehicle.vehicle_id for vehicle in found)
+            return found
+
+        snapshotted: list[int] = []
+        route_state = Vehicle.route_state
+
+        def counting_route_state(vehicle, current_time):
+            snapshotted.append(vehicle.vehicle_id)
+            return route_state(vehicle, current_time)
+
+        monkeypatch.setattr(sard, "candidate_vehicles", recording_candidates)
+        monkeypatch.setattr(Vehicle, "route_state", counting_route_state)
+        result = SARDDispatcher(max_candidates=2).dispatch(context)
+        assert result.assignments
+        assert sorted(snapshotted) == sorted(candidates)
+        assert len(candidates) < len(vehicles)
+
+    def test_assignments_match_whole_fleet_snapshots(self, crowd, make_context, monkeypatch):
+        class WholeFleetSnapshots(RouteSnapshots):
+            def __init__(self, context):
+                super().__init__(context)
+                for vehicle in context.vehicles:
+                    self[vehicle.vehicle_id]
+
+        requests, vehicles = crowd
+        for max_candidates in (2, None):
+            context = make_context(vehicles, requests, current_time=7.0)
+            lazy = SARDDispatcher(max_candidates=max_candidates).dispatch(context)
+            with monkeypatch.context() as patch:
+                patch.setattr(sard, "RouteSnapshots", WholeFleetSnapshots)
+                eager = SARDDispatcher(max_candidates=max_candidates).dispatch(context)
+            assert len(lazy.assignments) > 1
+            assert lazy.assignments == eager.assignments
